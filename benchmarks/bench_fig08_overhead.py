@@ -4,7 +4,7 @@ each schema version under the evolved materialization)."""
 import pytest
 
 from repro.bench.harness import get_experiment
-from repro.sqlgen.handwritten import handwritten_tasky
+from repro.workloads.handwritten import handwritten_tasky
 from repro.workloads.tasky import build_tasky
 
 N = 2000

@@ -1,12 +1,12 @@
 """Table 3: BiDEL vs SQL code size (the timed unit is script generation)."""
 
+from repro.bench.experiments.table3 import tasky_scripts
 from repro.bench.harness import get_experiment
-from repro.sqlgen.scripts import tasky_generated_scripts
 from repro.util.codemetrics import measure_code
 
 
 def test_table3(benchmark, print_result):
-    scripts = benchmark(tasky_generated_scripts)
+    scripts = benchmark(tasky_scripts)
     bidel = measure_code(scripts.bidel_evolution)
     sql = measure_code(scripts.sql_evolution)
     # The SQL delta code must be substantially larger than the BiDEL script.

@@ -196,6 +196,15 @@ def trigger_statements(engine) -> list[str]:
     return statements
 
 
+def delta_code(engine, *, flatten: bool = True) -> str:
+    """The views and trigger programs :meth:`LiveSqliteBackend.regenerate`
+    installs for the current catalog, as one script (for inspection and
+    the Table-3 code-size metrics); needs no attached backend."""
+    return ";\n".join(
+        view_statements(engine, flatten=flatten) + trigger_statements(engine)
+    )
+
+
 def _physical_write(tv: TableVersion, op: str) -> list[str]:
     data = tv.data_table_name
     columns = tv.schema.column_names

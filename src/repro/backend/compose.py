@@ -9,7 +9,7 @@ be prepared, let alone served cheaply.  The composer turns the view stack
 back into what the paper promises: delta code *compiled once* into flat
 queries.
 
-Every rule-backed view is a UNION of :class:`~repro.sqlgen.views.ViewBranch`
+Every rule-backed view is a UNION of :class:`~repro.backend.views.ViewBranch`
 branches (select list + FROM entries + WHERE conjunction).  Composition
 works bottom-up along the dependency order the code generator already
 emits in:
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from repro.sqlgen.views import ViewBranch
+from repro.backend.views import ViewBranch
 from repro.util.naming import quote_identifier
 
 #: Composition budget: a view whose flattened form would exceed this many

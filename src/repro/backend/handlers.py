@@ -39,6 +39,7 @@ from repro.backend.emit import (
     seq_value,
     upsert_row,
 )
+from repro.backend.views import branches_for_rules, select_sql_for_rules
 from repro.bidel.smo.columns import AddColumnSemantics, DropColumnSemantics
 from repro.bidel.smo.conditional import (
     DecomposeCondSemantics,
@@ -60,7 +61,6 @@ from repro.bidel.smo.vertical import (
 from repro.catalog.genealogy import SmoInstance, TableVersion
 from repro.errors import BackendError
 from repro.expr.ast import Expression
-from repro.sqlgen.views import branches_for_rules, select_sql_for_rules
 
 # The engine draws every identifier (tuple ids and generated FK/condition
 # ids) from one global sequence; the backend mirrors that.

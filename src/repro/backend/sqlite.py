@@ -560,10 +560,7 @@ class LiveSqliteBackend:
 
     def generated_sql(self) -> str:
         """The full delta-code script (for inspection and code metrics)."""
-        return ";\n".join(
-            codegen.view_statements(self.engine, flatten=self.flatten)
-            + codegen.trigger_statements(self.engine)
-        )
+        return codegen.delta_code(self.engine, flatten=self.flatten)
 
     # ------------------------------------------------------------------
     # Engine hooks (ExecutionBackend)
@@ -918,12 +915,6 @@ class LiveSqliteBackend:
         return self.connection.execute(
             f"SELECT {columns} FROM {tv.view_name}"
         ).fetchall()
-
-    def select_keyed(self, version_name: str, table: str) -> dict[int, tuple]:
-        tv = self.engine.genealogy.schema_version(version_name).table_version(table)
-        columns = ", ".join(["p", *qcols(tv.schema.column_names)])
-        cursor = self.connection.execute(f"SELECT {columns} FROM {tv.view_name}")
-        return {row[0]: row[1:] for row in cursor.fetchall()}
 
     def table_names(self) -> list[str]:
         rows = self.connection.execute(

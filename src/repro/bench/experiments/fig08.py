@@ -17,7 +17,7 @@ import random
 
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.bench.harness import Experiment, ExperimentResult, register, time_call
-from repro.sqlgen.handwritten import handwritten_tasky
+from repro.workloads.handwritten import handwritten_tasky
 from repro.workloads.tasky import build_tasky, random_task
 
 

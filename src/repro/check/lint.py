@@ -29,11 +29,11 @@ from repro.check.diagnostics import Diagnostic
 
 #: Packages allowed to build SQL text with f-strings — each owns a
 #: dialect's serialization discipline the rest of the codebase must
-#: delegate to: ``backend``/``sqlgen`` quote through emit/naming,
+#: delegate to: ``backend`` quotes through emit/naming,
 #: ``bidel`` is the BiDEL unparse serializer (a dialect with no quoting
 #: at all), ``persist`` interpolates only its fixed ``_repro_catalog_*``
 #: object names.
-SQL_BUILDER_PACKAGES = ("backend", "sqlgen", "bidel", "persist")
+SQL_BUILDER_PACKAGES = ("backend", "bidel", "persist")
 
 #: Packages that simulate *user applications* (benchmark, workload, and
 #: soak drivers).  Their SQL is this repo's test traffic against the

@@ -40,6 +40,10 @@ from repro.sql.planner import StatementResult
 
 _request_ids = itertools.count(1)
 
+#: Seconds close() waits for the server's goodbye on a connection opened
+#: without a timeout.
+_CLOSE_REPLY_TIMEOUT = 5.0
+
 
 class ConnectionLostError(OperationalError):
     """The TCP stream to the server died mid-conversation."""
@@ -473,11 +477,15 @@ class RemoteConnection(BaseConnection):
             return
         self._closed = True
         try:
-            # Fire-and-forget: waiting for the goodbye reply could block
-            # forever if the server is already gone (the disconnect itself
-            # triggers the same server-side teardown).
+            # The server acknowledges only after its rollback, so waiting
+            # for the reply makes close() synchronous.  A server that is
+            # already gone answers with EOF at once; a wedged one is cut
+            # off after _CLOSE_REPLY_TIMEOUT.
             with self._io_lock:
-                self._write_request({"op": "close"})
+                request_id = self._write_request({"op": "close"})
+                if self._sock.gettimeout() is None:
+                    self._sock.settimeout(_CLOSE_REPLY_TIMEOUT)
+                self._read_reply(request_id)
         except Exception:
             pass  # best effort: the server tears down on disconnect anyway
         self._drop_socket()

@@ -115,13 +115,7 @@ class _ClientHandler:
         # A client that vanishes mid-transaction must not leak its work:
         # closing the server-side connection rolls back any open
         # transaction and returns the leased session to the pool.
-        self._statements.clear()
-        if self.connection is not None:
-            try:
-                self.connection.close()
-            except Exception:
-                pass
-            self.connection = None
+        self._close_connection()
         for f in (self.wfile, self.rfile):
             try:
                 f.close()
@@ -132,6 +126,15 @@ class _ClientHandler:
         except OSError:
             pass
         self.server._forget_handler(self)
+
+    def _close_connection(self) -> None:
+        self._statements.clear()
+        if self.connection is not None:
+            try:
+                self.connection.close()
+            except Exception:
+                pass
+            self.connection = None
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -395,6 +398,10 @@ class _ClientHandler:
         }
 
     def _op_close(self, request: dict) -> None:
+        # Roll back and release the session BEFORE the goodbye reply: a
+        # client whose close() has returned must not find its transaction
+        # still open.
+        self._close_connection()
         try:
             self._send({"id": request.get("id"), "ok": True})
         except _Disconnect:
@@ -524,11 +531,7 @@ class ReproServer:
             self._closed = True
             handlers = list(self._handlers)
         self.engine.remove_catalog_listener(self._on_catalog_event)
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._stop_listening()
         for handler in handlers:
             handler.shutdown()
         for handler in handlers:
@@ -546,13 +549,9 @@ class ReproServer:
         A request still running at the deadline is cut off mid-flight —
         the deadline exists precisely so a wedged statement cannot hold
         the shutdown hostage."""
-        if self._listener is not None:
-            # New connects are refused from here on; connected clients
-            # get their in-flight replies before the sockets drop.
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        # New connects are refused from here on; connected clients get
+        # their in-flight replies before the sockets drop.
+        self._stop_listening()
         deadline = time.monotonic() + timeout
         with self._lock:
             handlers = list(self._handlers)
@@ -560,6 +559,23 @@ class ReproServer:
             while handler.busy and time.monotonic() < deadline:
                 time.sleep(0.01)
         self.close()
+
+    def _stop_listening(self) -> None:
+        """Wake the accept thread and release the listening socket.
+
+        On Linux, ``close()`` alone does not wake a thread blocked in
+        ``accept()``; ``shutdown()`` does, so the accept loop exits at once.
+        """
+        if self._listener is None:
+            return
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already shut down (drain() then close())
+        try:
+            self._listener.close()
+        except OSError:
+            pass
 
     def __enter__(self) -> "ReproServer":
         if self._listener is None:

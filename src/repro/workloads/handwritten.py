@@ -4,7 +4,7 @@ Two artifacts live here:
 
 - *Handwritten SQL text* for the TasKy scenario — what a developer would
   write and maintain manually to keep the three versions alive. It feeds
-  the Table-3 code-size comparison together with the generated scripts.
+  the Table-3 code-size comparison together with the generated delta code.
 - :class:`HandwrittenTasky` — a hand-optimized Python implementation of
   exactly the TasKy propagation paths (no generic routing, no rule
   machinery), the Figure-8 performance baseline. It is intentionally
@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.backend import codegen
 from repro.core.engine import InVerDa
 from repro.relational.table import Key, Row
 
@@ -35,9 +36,10 @@ def handwritten_migration_sql(engine: InVerDa) -> str:
     """The migration script a developer would write to move TasKy's data
     into the TasKy2 physical schema and rewire all delta code: create the
     new tables, move the data, drop the old storage, and recreate the
-    views/triggers of the remaining versions against the new tables."""
-    from repro.sqlgen.scripts import generated_delta_code_for_version
+    views/triggers of every version against the new tables.
 
+    ``engine`` holds the TasKy catalog already materialized to TasKy2, so
+    the recreated delta code is what the live backend installs there."""
     ddl = """\
 CREATE TABLE task2 (
     p serial PRIMARY KEY,
@@ -56,12 +58,10 @@ SELECT t.p, t.task, t.prio, a.id
 FROM task t JOIN author a ON a.name = t.author;
 DROP TABLE task;
 """
-    # After moving the data, every remaining version's delta code must be
-    # rewritten against the new physical tables (this is the part InVerDa
+    # After moving the data, every version's delta code must be rewritten
+    # against the new physical tables (this is the part InVerDa
     # regenerates automatically).
-    tasky_views = generated_delta_code_for_version(engine, "TasKy")
-    do_views = generated_delta_code_for_version(engine, "Do!")
-    return ddl + "\n" + tasky_views.sql + "\n\n" + do_views.sql
+    return ddl + "\n" + codegen.delta_code(engine)
 
 
 @dataclass

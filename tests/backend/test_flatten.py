@@ -154,6 +154,46 @@ def test_flat_nested_memory_differential(name, seed):
         tri.close()
 
 
+@pytest.mark.parametrize(
+    "evolution,query,expected",
+    [
+        (
+            "SPLIT TABLE R INTO S WITH kind = 'kind', U WITH kind = 'other'",
+            "SELECT kind, n FROM S",
+            [("kind", 1)],
+        ),
+        (
+            "ADD COLUMN tag AS kind || '-kind' INTO R",
+            "SELECT kind, tag FROM R",
+            [("kind", "kind-kind"), ("other", "other-kind")],
+        ),
+    ],
+    ids=["split", "add_column"],
+)
+def test_column_name_inside_string_literal(evolution, query, expected):
+    """A string literal spelling a column name stays a literal in the
+    generated views (rendered through the expression AST, not by text
+    substitution)."""
+    tri = TriSystem()
+    tri.ddl("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(kind TEXT, n INTEGER);")
+    tri.attach()
+    try:
+        for row in (("kind", 1), ("other", 2)):
+            tri.run("v1", "INSERT INTO R(kind, n) VALUES (?, ?)", row)
+        tri.ddl(f"CREATE SCHEMA VERSION v2 FROM v1 WITH {evolution};")
+        tri.check("string-literal")
+        for label, engine, backend in (
+            ("memory", tri.mem, None),
+            ("flat", tri.flat, tri.backends["flat"]),
+            ("nested", tri.nested, tri.backends["nested"]),
+        ):
+            conn = connect(engine, "v2", autocommit=True, backend=backend)
+            assert sorted(conn.execute(query).fetchall()) == expected, label
+            conn.close()
+    finally:
+        tri.close()
+
+
 def _view_bodies(engine, flatten):
     bodies = {}
     for statement in codegen.view_statements(engine, flatten=flatten):
@@ -240,7 +280,7 @@ def test_tautology_elimination_requires_matching_outer_aliases():
     entries are not complementary: the merged branch must keep its
     disjunction (alias canonicalization pins the outer aliases)."""
     from repro.backend.compose import ViewComposer
-    from repro.sqlgen.views import ViewBranch
+    from repro.backend.views import ViewBranch
 
     composer = ViewComposer()
     head = (("p", "f1.p"), ("a", "f1.a"), ("b", "f2.b"))

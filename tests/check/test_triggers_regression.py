@@ -1,35 +1,27 @@
 """Regression: the trigger condition renderer must rewrite column
-references token-wise, never by raw substring replacement.
+references on the expression AST, never by substring replacement.
 
-The old ``str.replace`` pass corrupted conditions two ways: a column
-name inside a longer identifier (``id`` in ``uid`` → ``uNEW.id``), and a
-column name inside a string literal.  The verifier's RPC102 pass is the
-safety net that would have caught the corrupted output
-(tests/check/test_delta_verifier.py::test_unknown_qualifier_rpc102).
+A textual pass corrupts conditions two ways: a column name inside a
+longer identifier (``id`` in ``uid`` → ``uNEW.id``), and a column name
+inside a string literal.  The live generator renders every trigger and
+view expression through :func:`repro.backend.emit.render_expression`,
+which renames :class:`~repro.expr.ast.Column` nodes only.  The
+verifier's RPC102 pass is the safety net that would catch corrupted
+output (tests/check/test_delta_verifier.py::test_unknown_qualifier_rpc102).
 """
 
 from __future__ import annotations
 
-from repro.datalog.ast import CondLit, Var
+from repro.backend.emit import new_refs, render_expression
 from repro.expr.parser import parse_expression
-from repro.sqlgen.triggers import _render_condition
 
 
-def render(expression: str, columns: list[str], row_var: str = "NEW",
-           *, positive: bool = True) -> str:
-    literal = CondLit(
-        "c",
-        parse_expression(expression),
-        tuple((name, Var(name.upper())) for name in columns),
-        positive=positive,
-    )
-    return _render_condition(literal, row_var)
+def render(expression: str, columns: list[str], row_var: str = "NEW") -> str:
+    return render_expression(parse_expression(expression), new_refs(columns, row=row_var))
 
 
 class TestTokenWiseRewrite:
     def test_substring_column_not_corrupted(self):
-        # The original defect: replacing `id` first turned `uid` into
-        # `uNEW.id`.
         assert render("uid > id", ["id", "uid"]) == "(NEW.uid > NEW.id)"
 
     def test_order_of_columns_is_irrelevant(self):
@@ -42,7 +34,7 @@ class TestTokenWiseRewrite:
         assert render("name = 'id'", ["name", "id"]) == "(NEW.name = 'id')"
 
     def test_negated_condition(self):
-        assert render("v >= 10", ["v"], positive=False) == "NOT ((NEW.v >= 10))"
+        assert render("NOT (v >= 10)", ["v"]) == "NOT ((NEW.v >= 10))"
 
     def test_no_columns(self):
         assert render("1 = 1", []) == "(1 = 1)"

@@ -320,3 +320,21 @@ class TestOversizedResults:
         with pytest.raises(ProtocolError, match="limit"):
             conn.execute(giant)
         conn.close()
+
+
+class TestShutdown:
+    """close() wakes the thread blocked in accept() instead of waiting it
+    out: it returns promptly and leaves no accept thread behind."""
+
+    @pytest.mark.parametrize("stop", ["close", "drain"])
+    def test_stop_is_prompt_and_joins_accept_thread(self, stop):
+        server = ReproServer(build_tasky(5, seed=7).engine).start()
+        client = remote(server, "TasKy", autocommit=True)
+        client.execute("SELECT * FROM Task")
+        started = time.monotonic()
+        getattr(server, stop)()
+        assert time.monotonic() - started < 1.0
+        accept = server._accept_thread
+        assert accept.name == "repro-server-accept"
+        assert not accept.is_alive()
+        client.close()

@@ -1,10 +1,14 @@
-"""Generated view SQL: structure, and row-parity on a real SQL engine."""
+"""Generated delta code: structure, and row-parity on a real SQL engine.
+
+The views and INSTEAD OF triggers come from :mod:`repro.backend.codegen`,
+the statements ``LiveSqliteBackend.regenerate()`` installs."""
 
 import pytest
 
-from repro.sqlgen.scripts import generated_delta_code_for_version, tasky_generated_scripts
-from repro.sqlgen.sqlite_backend import SqliteBackend
-from repro.util.codemetrics import measure_code
+from repro.backend import codegen
+from repro.backend.compare import visible_state
+from repro.backend.sqlite import LiveSqliteBackend
+from repro.workloads.micro import build_two_smo_scenario
 from tests.conftest import build_paper_tasky
 
 
@@ -13,28 +17,28 @@ def scenario():
     return build_paper_tasky()
 
 
+def _assert_parity(engine, keys, label):
+    """SQLite's generated views return exactly the engine's rows."""
+    backend = LiveSqliteBackend.attach(engine)
+    try:
+        sqlite_state = visible_state(engine, backend)
+        engine_state = visible_state(engine)
+        for key in keys:
+            assert sqlite_state[key] == engine_state[key], (label, key)
+    finally:
+        backend.close()
+
+
 class TestGeneratedScripts:
     def test_delta_code_has_view_per_derived_table(self, scenario):
-        code = generated_delta_code_for_version(scenario.engine, "Do!")
-        assert any("CREATE VIEW" in view for view in code.views)
+        views = codegen.view_statements(scenario.engine)
+        assert len(views) >= len(visible_state(scenario.engine))
+        assert all("CREATE VIEW" in view for view in views)
 
     def test_delta_code_has_triggers(self, scenario):
-        code = generated_delta_code_for_version(scenario.engine, "Do!")
-        assert any("CREATE TRIGGER" in trigger for trigger in code.triggers)
-        assert any("INSTEAD OF" in trigger for trigger in code.triggers)
-
-    def test_tasky_scripts_table3_direction(self):
-        scripts = tasky_generated_scripts()
-        bidel = measure_code(scripts.bidel_evolution)
-        sql = measure_code(scripts.sql_evolution)
-        assert sql.lines > bidel.lines
-        assert sql.statements > bidel.statements
-        assert sql.characters > bidel.characters
-
-    def test_migration_script_nonempty(self):
-        scripts = tasky_generated_scripts()
-        assert "INSERT INTO" in scripts.sql_migration
-        assert measure_code(scripts.bidel_migration).lines == 1
+        triggers = codegen.trigger_statements(scenario.engine)
+        assert any("CREATE TRIGGER" in trigger for trigger in triggers)
+        assert any("INSTEAD OF" in trigger for trigger in triggers)
 
 
 class TestSqliteParity:
@@ -44,72 +48,16 @@ class TestSqliteParity:
         "version,table",
         [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task"), ("TasKy2", "Author")],
     )
-    def test_initial_materialization(self, scenario, version, table):
-        backend = SqliteBackend.build(scenario.engine)
-        try:
-            sqlite_rows = backend.select_keyed(version, table)
-            engine_rows = {
-                key: tuple(row.values())
-                for key, row in scenario.engine.connect(version).select_keyed(table).items()
-            }
-            assert sqlite_rows == engine_rows
-        finally:
-            backend.close()
+    def test_initial_materialization(self, version, table):
+        _assert_parity(build_paper_tasky().engine, [(version, table)], "initial")
 
     @pytest.mark.parametrize("materialize", ["Do!", "TasKy2"])
     def test_other_materializations(self, materialize):
         scenario = build_paper_tasky()
         scenario.materialize(materialize)
-        backend = SqliteBackend.build(scenario.engine)
-        try:
-            for version, table in [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task")]:
-                sqlite_rows = backend.select_keyed(version, table)
-                engine_rows = {
-                    key: tuple(row.values())
-                    for key, row in scenario.engine.connect(version)
-                    .select_keyed(table)
-                    .items()
-                }
-                assert sqlite_rows == engine_rows, f"{version}.{table} under {materialize}"
-        finally:
-            backend.close()
+        keys = [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task")]
+        _assert_parity(scenario.engine, keys, f"under {materialize}")
 
     def test_two_smo_chain_parity(self):
-        from repro.workloads.micro import build_two_smo_scenario
-
         engine = build_two_smo_scenario("split", "add_column", rows=60)
-        backend = SqliteBackend.build(engine)
-        try:
-            sqlite_rows = backend.select_keyed("v3", "R")
-            engine_rows = {
-                key: tuple(row.values())
-                for key, row in engine.connect("v3").select_keyed("R").items()
-            }
-            assert sqlite_rows == engine_rows
-        finally:
-            backend.close()
-
-
-class TestHandwrittenBaseline:
-    def test_matches_engine_reads(self):
-        from repro.sqlgen.handwritten import handwritten_tasky
-        from repro.workloads.tasky import build_tasky
-
-        scenario = build_tasky(50)
-        baseline = handwritten_tasky(50, materialization="initial")
-        engine_tasks = sorted(
-            (r["author"], r["task"], r["prio"]) for r in scenario.tasky.select("Task")
-        )
-        assert sorted(baseline.read_tasky()) == engine_tasks
-        engine_do = sorted((r["author"], r["task"]) for r in scenario.do.select("Todo"))
-        assert sorted(baseline.read_do()) == engine_do
-
-    def test_migration_preserves_reads(self):
-        from repro.sqlgen.handwritten import handwritten_tasky
-
-        baseline = handwritten_tasky(30, materialization="initial")
-        before = sorted(baseline.read_tasky())
-        baseline.migrate_to_evolved()
-        assert sorted(baseline.read_tasky()) == before
-        baseline.migrate_to_initial()
-        assert sorted(baseline.read_tasky()) == before
+        _assert_parity(engine, [("v3", "R")], "split+add_column")
