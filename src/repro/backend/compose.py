@@ -36,6 +36,7 @@ composed, so the emitted stack stays shallow instead of deep.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -59,8 +60,27 @@ def _wrap(expr: str) -> str:
     return f"({expr})"
 
 
-def _alias_pattern(alias: str) -> str:
-    return rf"(?<![\w\"]){re.escape(alias)}\."
+@functools.lru_cache(maxsize=4096)
+def _alias_pattern(alias: str) -> re.Pattern:
+    return re.compile(rf"(?<![\w\"]){re.escape(alias)}\.")
+
+
+def _subn_code(
+    pattern: re.Pattern, repl, text: str, count: int = 0
+) -> tuple[str, int]:
+    """:func:`re.subn` restricted to SQL code: parts of ``text`` inside
+    single-quoted literals are left untouched, so an alias-shaped word in
+    a string constant (``'t0.x'``) is never rewritten.  Even-indexed
+    segments of ``text.split("'")`` are outside literals (``''`` for an
+    escaped quote toggles twice, preserving the parity)."""
+    if "'" not in text:
+        return pattern.subn(repl, text, count)
+    segments = text.split("'")
+    total = 0
+    for index in range(0, len(segments), 2):
+        segments[index], hits = pattern.subn(repl, segments[index], count)
+        total += hits
+    return "'".join(segments), total
 
 
 class ViewComposer:
@@ -126,16 +146,10 @@ class ViewComposer:
         references in head expressions and WHERE conjuncts), so merged
         branch bodies can never collide."""
         mapping = {alias: self._alias() for alias, _table in branch.froms}
-
-        def rewrite(text: str) -> str:
-            for old, new in sorted(mapping.items(), key=lambda i: -len(i[0])):
-                text = re.sub(_alias_pattern(old), f"{new}.", text)
-            return text
-
         return ViewBranch(
-            head=tuple((column, rewrite(expr)) for column, expr in branch.head),
+            head=self._rename(branch.head, mapping),
             froms=tuple((mapping[alias], table) for alias, table in branch.froms),
-            where=tuple(rewrite(cond) for cond in branch.where),
+            where=tuple(self._rename_text(cond, mapping) for cond in branch.where),
         )
 
     # ------------------------------------------------------------------
@@ -176,7 +190,9 @@ class ViewComposer:
         )
 
         def rewrite(text: str) -> str:
-            return pattern.sub(lambda m: alternatives[m.group("col")], text)
+            return _subn_code(
+                pattern, lambda m: alternatives[m.group("col")], text
+            )[0]
 
         froms = []
         for from_alias, table in outer.froms:
@@ -195,11 +211,12 @@ class ViewComposer:
     # ------------------------------------------------------------------
 
     def _referenced_aliases(self, branch: ViewBranch, text: str) -> set[str]:
-        found = set()
-        for alias, _table in branch.froms:
-            if re.search(_alias_pattern(alias), text):
-                found.add(alias)
-        return found
+        return {
+            alias
+            for alias, _table in branch.froms
+            # Only the hit count matters; the first hit settles it.
+            if _subn_code(_alias_pattern(alias), "", text, 1)[1]
+        }
 
     def _split_froms(
         self, branch: ViewBranch
@@ -245,8 +262,7 @@ class ViewComposer:
         recognized as equal regardless of alias spelling.  ``fixed`` pins
         the group's scanned (outer) aliases to shared names, so probes
         correlated against *different* outer entries never canonicalize
-        to the same text.  String literals are left untouched (an
-        alias-shaped word inside a constant must not alias-match), so
+        to the same text.  String literals are left untouched, so
         differing literals always compare unequal."""
         seen: dict[str, str] = dict(fixed or {})
 
@@ -256,12 +272,7 @@ class ViewComposer:
                 seen[alias] = f"c{len(seen)}"
             return seen[alias]
 
-        # Even-indexed segments are outside single-quoted literals ('' for
-        # an escaped quote toggles twice, preserving the parity).
-        segments = text.split("'")
-        for index in range(0, len(segments), 2):
-            segments[index] = self._ALIAS_TOKEN.sub(rename, segments[index])
-        return "'".join(segments)
+        return _subn_code(self._ALIAS_TOKEN, rename, text)[0]
 
     def _is_tautology(
         self, predicates: list[str], scanned: list[tuple[str, str]]
@@ -375,7 +386,7 @@ class ViewComposer:
 
     def _rename_text(self, text: str, mapping: dict[str, str]) -> str:
         for old, new in sorted(mapping.items(), key=lambda i: -len(i[0])):
-            text = re.sub(_alias_pattern(old), f"{new}.", text)
+            text = _subn_code(_alias_pattern(old), f"{new}.", text)[0]
         return text
 
     def _rename(

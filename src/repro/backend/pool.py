@@ -65,9 +65,6 @@ class SessionPool:
       statement cache.  The statement hot path reuses one rendered SQL
       text per cached plan, so a generous cache means repeated statements
       skip SQLite's prepare entirely.
-    - ``plan_cache_stats`` — optional zero-argument callable returning the
-      engine's plan-cache counters; when set, :meth:`stats` folds them in
-      so one ``status`` round trip reports pool *and* cache health.
     - ``metrics`` — optional :class:`repro.obs.MetricsRegistry`; when set,
       lease waits land in ``repro_pool_lease_wait_seconds`` and occupancy
       in ``repro_pool_sessions{state=leased|idle}``.
@@ -84,7 +81,6 @@ class SessionPool:
         busy_timeout: float = 5.0,
         acquire_timeout: float = 30.0,
         cached_statements: int = 256,
-        plan_cache_stats=None,
         metrics=None,
     ):
         self.database = database
@@ -95,7 +91,6 @@ class SessionPool:
         self.busy_timeout = busy_timeout
         self.acquire_timeout = acquire_timeout
         self.cached_statements = cached_statements
-        self.plan_cache_stats = plan_cache_stats
         self._lease_wait = None
         self._sessions_gauge = None
         if metrics is not None:
@@ -249,8 +244,6 @@ class SessionPool:
                 "cached_statements": self.cached_statements,
                 "closed": self._closed,
             }
-        if self.plan_cache_stats is not None:
-            payload["plan_cache"] = self.plan_cache_stats()
         if self._lease_wait is not None:
             payload["lease_waits"] = self._lease_wait.series_stats()
         return payload

@@ -292,7 +292,6 @@ class LiveSqliteBackend:
             max_sessions=max_sessions,
             busy_timeout=busy_timeout,
             cached_statements=cached_statements,
-            plan_cache_stats=engine.plan_cache.stats,
             metrics=engine.metrics,
         )
         from repro.persist.store import CatalogStore

@@ -179,17 +179,6 @@ class SmoSemantics(ABC):
         """Transport target-side data changes to the source side."""
         return None
 
-    # -- shared-aux maintenance ------------------------------------------------
-
-    def maintain_shared_aux(
-        self, side: str, changes: dict[str, TableChange], ctx: MapContext
-    ) -> dict[str, TableChange] | None:
-        """Incremental update of always-stored aux tables (ID tables) after
-        a direct write to a physical ``side`` ('source' or 'target') table.
-        ``None`` means "no fast path": the engine re-derives the aux tables
-        by running the full map of the stored side."""
-        return None
-
     def invalidate_caches(self) -> None:
         """Drop any internal memoization (called on migration/rollback)."""
 
@@ -211,10 +200,6 @@ class SmoSemantics(ABC):
 def require(condition: bool, message: str) -> None:
     if not condition:
         raise EvolutionError(message)
-
-
-def project_row(row: Row, indices: list[int]) -> Row:
-    return tuple(row[i] for i in indices)
 
 
 def is_all_null(row: Row) -> bool:

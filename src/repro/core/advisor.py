@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.catalog.genealogy import Genealogy, SmoInstance, TableVersion
+from repro.catalog.genealogy import Genealogy, TableVersion
 from repro.catalog.materialization import (
     MaterializationSchema,
     enumerate_valid_materializations,
@@ -77,12 +77,6 @@ class WorkloadRecorder:
 
     def record(self, version_name: str, kind: str, count: int = 1) -> None:
         self._counter.inc(count, version=version_name, kind=kind)
-
-    def record_read(self, version_name: str, count: int = 1) -> None:
-        self.record(version_name, "select", count)
-
-    def record_write(self, version_name: str, count: int = 1) -> None:
-        self.record(version_name, "write", count)
 
     def _aggregate(self, want_reads: bool) -> dict[str, int]:
         totals: dict[str, int] = {}

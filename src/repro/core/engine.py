@@ -50,9 +50,8 @@ from repro.catalog.materialization import (
 )
 from repro.catalog.versions import SchemaVersion
 from repro.core.context import EngineMapContext, ReadCache
-from repro.errors import AccessError, CatalogError, EvolutionError, TransactionError
+from repro.errors import AccessError, CatalogError, EvolutionError
 from repro.relational.database import Database
-from repro.relational.schema import TableSchema
 from repro.relational.table import Key, Table
 
 _ID_COLUMN = "id"
@@ -306,28 +305,6 @@ class InVerDa:
             self.materialize(statement.targets, online=statement.online)
         else:  # pragma: no cover - parser guarantees the union
             raise EvolutionError(f"unknown statement {statement!r}")
-
-    def connect(self, version_name: str):
-        """A legacy Python-method connection bound to one schema version.
-
-        .. deprecated:: prefer :func:`repro.connect`, which returns a
-           PEP-249 connection speaking SQL with parameter binding.
-        """
-        from repro.core.access import VersionConnection
-
-        return VersionConnection(self, self.genealogy.schema_version(version_name))
-
-    def sql_connect(
-        self,
-        version_name: str | None = None,
-        *,
-        autocommit: bool = False,
-        backend: str | None = None,
-    ):
-        """A PEP-249 connection to one schema version (see :func:`repro.connect`)."""
-        from repro.sql.connection import connect
-
-        return connect(self, version_name, autocommit=autocommit, backend=backend)
 
     # ------------------------------------------------------------------
     # Database Evolution Operation

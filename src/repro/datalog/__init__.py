@@ -11,7 +11,8 @@ The paper defines every SMO by two Datalog rule sets ``γ_tgt`` and ``γ_src``
   round-trip composition machinery (:mod:`repro.datalog.compose`) used to
   mechanically reproduce the bidirectionality proofs;
 - update-propagation rule derivation (:mod:`repro.datalog.delta`) in the
-  style of Rules 52–54, used for trigger generation.
+  style of Rules 52–54 (not yet used for trigger generation; see the
+  module docstring).
 """
 
 from repro.datalog.ast import (

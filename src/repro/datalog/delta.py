@@ -16,9 +16,12 @@ same identifier):
 - deletion rule per body occurrence:
   ``Δ-H ← Δ-Q, rest(old), H(old), ¬H(new)``
 
-These rules are used to *generate trigger code* (Section 6); the engine's
-fast-path propagation implements the same semantics natively per SMO and is
-cross-checked against full re-evaluation in the test suite.
+The paper uses these rules to *generate trigger code* (Section 6). Here
+they are not wired in yet: nothing in the library imports this module, and
+the live backend's triggers are still hand-written per SMO (ROADMAP item 4
+tracks deriving them from the rules). The engine's fast-path propagation
+implements the same semantics natively per SMO and is cross-checked against
+full re-evaluation in the test suite.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Pretty-printing of rule sets and simplification traces.
+"""Pretty-printing of rule sets.
 
 Used by ``examples/formal_verification.py`` to print a derivation in the
 style of Section 5 of the paper, and by the verification report.
@@ -32,9 +32,3 @@ def format_runtime_rules(rules: RuleSet | Iterable[Rule], *, title: str | None =
         lines.append(f"  {rule}")
     return "\n".join(lines)
 
-
-def format_trace(trace: Iterable[str], *, title: str = "Simplification trace") -> str:
-    lines = [title, "=" * len(title)]
-    for step_number, step in enumerate(trace, start=1):
-        lines.append(f"[{step_number:3d}] {step}")
-    return "\n".join(lines)

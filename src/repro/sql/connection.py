@@ -846,9 +846,8 @@ class Connection(BaseConnection):
         counters, catalog durability facts (generation, fingerprint,
         on-disk staleness), workload and tracing summaries, the full
         metrics snapshot, and — on the live backend — the session pool's
-        occupancy.  The top-level ``backend`` / ``plan_cache`` /
-        ``catalog`` / ``pool`` keys predate the unified schema and are
-        kept as stable aliases."""
+        occupancy.  Every key belongs to the schema itself; none is an
+        alias of another."""
         from repro.obs import engine_snapshot
 
         return engine_snapshot(self.engine, backend=self._backend)

@@ -3,9 +3,8 @@
 This module owns the CRUD primitives of the access layer: every visible
 read goes through :meth:`InVerDa.read_table_version` and every write
 through :meth:`InVerDa.apply_change`, so the engine's generated mapping
-logic keeps all co-existing schema versions consistent. Both the DB-API
-cursor and the legacy :class:`~repro.core.access.VersionConnection` shim
-call into these functions.
+logic keeps all co-existing schema versions consistent. The DB-API
+cursor's in-memory plans call into these functions.
 
 Like SQLite, every table exposes a ``rowid`` pseudo-column carrying the
 internal tuple identifier ``p`` of the paper's trigger architecture —
@@ -29,7 +28,6 @@ from repro.errors import (
     CatalogError,
     ExpressionError,
     ProgrammingError,
-    SchemaError,
 )
 from repro.expr.ast import Column as ColumnRef
 from repro.expr.ast import Expression, is_true
@@ -67,11 +65,12 @@ def rowid_exposed(tv: TableVersion) -> bool:
 
 
 def visible_rows(
-    engine: "InVerDa", tv: TableVersion, *, with_rowid: bool = False
+    engine: "InVerDa", tv: TableVersion
 ) -> Iterable[tuple[int, RowMapping]]:
-    """(key, mapping) pairs of the table version's visible extent."""
+    """(key, mapping) pairs of the table version's visible extent, with
+    the ``rowid`` pseudo-column in each mapping where it is exposed."""
     schema = tv.schema
-    expose = with_rowid and rowid_exposed(tv)
+    expose = rowid_exposed(tv)
     for key, row in engine.read_table_version(tv, cache={}).items():
         mapping = schema.row_to_mapping(row)
         if expose:
@@ -80,7 +79,7 @@ def visible_rows(
 
 
 # ---------------------------------------------------------------------------
-# Write primitives (shared with the legacy VersionConnection shim)
+# Write primitives
 # ---------------------------------------------------------------------------
 
 
@@ -111,27 +110,19 @@ def update_rows(
     tv: TableVersion,
     predicate: Predicate,
     transform: Callable[[RowMapping], Mapping[str, Any]],
-    *,
-    with_rowid: bool = False,
 ) -> int:
     """Update matching rows; ``transform`` maps the current row to its SET
-    values. Applied as one change batch; returns the number of rows."""
+    values (validated by the caller). Applied as one change batch; returns
+    the number of rows."""
     schema = tv.schema
+    expose = rowid_exposed(tv)
     change = TableChange()
-    for key, mapping in visible_rows(engine, tv, with_rowid=with_rowid):
+    for key, mapping in visible_rows(engine, tv):
         if not predicate(mapping):
             continue
         updates = transform(mapping)
-        if tv.key_column is not None and tv.key_column in updates:
-            raise AccessError(
-                f"column {tv.key_column!r} of {tv.name!r} is the generated "
-                "identifier and cannot be updated"
-            )
-        if ROWID in updates and rowid_exposed(tv):
-            raise AccessError("the rowid pseudo-column cannot be updated")
-        mapping = dict(mapping)
-        if rowid_exposed(tv):
-            mapping.pop(ROWID, None)
+        if expose:
+            mapping.pop(ROWID)
         mapping.update(updates)
         change.upserts[key] = schema.row_from_mapping(mapping)
     if change.empty:
@@ -140,16 +131,10 @@ def update_rows(
     return len(change.upserts)
 
 
-def delete_rows(
-    engine: "InVerDa",
-    tv: TableVersion,
-    predicate: Predicate,
-    *,
-    with_rowid: bool = False,
-) -> int:
+def delete_rows(engine: "InVerDa", tv: TableVersion, predicate: Predicate) -> int:
     """Delete matching rows as one change batch; returns the number removed."""
     change = TableChange()
-    for key, mapping in visible_rows(engine, tv, with_rowid=with_rowid):
+    for key, mapping in visible_rows(engine, tv):
         if predicate(mapping):
             change.deletes.add(key)
     if change.empty:
@@ -248,7 +233,7 @@ def execute_select(
     predicate = _where_predicate(where)
     matched = [
         entry
-        for entry in visible_rows(engine, tv, with_rowid=True)
+        for entry in visible_rows(engine, tv)
         if predicate(entry[1])
     ]
     _sort_rows(matched, order_by)
@@ -326,9 +311,7 @@ def execute_update(
             for name, expression in assignments
         }
 
-    count = update_rows(
-        engine, tv, _where_predicate(where), transform, with_rowid=True
-    )
+    count = update_rows(engine, tv, _where_predicate(where), transform)
     return StatementResult(rowcount=count)
 
 
@@ -337,7 +320,7 @@ def execute_delete(
 ) -> StatementResult:
     tv = resolve_table(version, stmt.table)
     where = bind_expression(stmt.where, params) if stmt.where is not None else None
-    count = delete_rows(engine, tv, _where_predicate(where), with_rowid=True)
+    count = delete_rows(engine, tv, _where_predicate(where))
     return StatementResult(rowcount=count)
 
 

@@ -165,20 +165,31 @@ def test_flat_nested_memory_differential(name, seed):
         (
             "ADD COLUMN tag AS kind || '-kind' INTO R",
             "SELECT kind, tag FROM R",
-            [("kind", "kind-kind"), ("other", "other-kind")],
+            [("kind", "kind-kind"), ("other", "other-kind"), ("t0.x", "t0.x-kind")],
+        ),
+        (
+            "SPLIT TABLE R INTO S WITH kind = 't0.x'",
+            "SELECT kind FROM S",
+            [("t0.x",)],
+        ),
+        (
+            "ADD COLUMN tag AS kind || 't0.p' INTO R",
+            "SELECT kind, tag FROM R",
+            [("kind", "kindt0.p"), ("other", "othert0.p"), ("t0.x", "t0.xt0.p")],
         ),
     ],
-    ids=["split", "add_column"],
+    ids=["split", "add_column", "split_alias_literal", "add_column_alias_literal"],
 )
 def test_column_name_inside_string_literal(evolution, query, expected):
-    """A string literal spelling a column name stays a literal in the
-    generated views (rendered through the expression AST, not by text
-    substitution)."""
+    """A string literal spelling a column name, or an alias-qualified
+    column such as ``t0.x``, stays a literal in the generated views: the
+    expression AST renders it, and the composer's alias rewriting skips
+    quoted text."""
     tri = TriSystem()
     tri.ddl("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(kind TEXT, n INTEGER);")
     tri.attach()
     try:
-        for row in (("kind", 1), ("other", 2)):
+        for row in (("kind", 1), ("other", 2), ("t0.x", 3)):
             tri.run("v1", "INSERT INTO R(kind, n) VALUES (?, ?)", row)
         tri.ddl(f"CREATE SCHEMA VERSION v2 FROM v1 WITH {evolution};")
         tri.check("string-literal")

@@ -17,8 +17,9 @@ PAPER_ROWS = [
 def build_paper_tasky():
     """The exact four-row database of Figure 1."""
     scenario = build_tasky(0)
-    for author, task, prio in PAPER_ROWS:
-        scenario.tasky.insert("Task", {"author": author, "task": task, "prio": prio})
+    scenario.connect("TasKy").executemany(
+        "INSERT INTO Task(author, task, prio) VALUES (?, ?, ?)", PAPER_ROWS
+    )
     return scenario
 
 

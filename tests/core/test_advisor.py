@@ -80,19 +80,20 @@ class TestCostModel:
         import time
 
         scenario = build_paper_tasky()
+        tasky = scenario.connect("TasKy")
         for _ in range(200):
-            scenario.tasky.insert(
-                "Task", {"author": "X", "task": "bulk", "prio": 2}
-            )
+            tasky.execute("INSERT INTO Task(author, task, prio) VALUES ('X', 'bulk', 2)")
         profile = WorkloadProfile(reads={"TasKy2": 100})
         recommendation = recommend_materialization(
             scenario.engine.genealogy, profile
         )
 
+        tasky2 = scenario.connect("TasKy2")
+
         def read_cost():
             start = time.perf_counter()
             for _ in range(5):
-                scenario.tasky2.select("Task")
+                tasky2.execute("SELECT * FROM Task").fetchall()
             return time.perf_counter() - start
 
         before = read_cost()

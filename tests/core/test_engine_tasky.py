@@ -2,12 +2,18 @@
 
 import pytest
 
-from repro.errors import AccessError, CatalogError, EvolutionError
-from tests.conftest import PAPER_ROWS, build_paper_tasky
+from repro.errors import (
+    CatalogError,
+    EvolutionError,
+    InterfaceError,
+    OperationalError,
+    ProgrammingError,
+)
+from tests.conftest import PAPER_ROWS
 
 
 def tasks_in(connection, table="Task"):
-    return sorted(r["task"] for r in connection.select(table))
+    return sorted(task for (task,) in connection.execute(f"SELECT task FROM {table}"))
 
 
 class TestEvolution:
@@ -17,25 +23,29 @@ class TestEvolution:
         assert paper_tasky.engine.version_names() == ["TasKy", "Do!", "TasKy2"]
 
     def test_do_schema(self, paper_tasky):
-        assert paper_tasky.do.columns("Todo") == ("author", "task")
+        cursor = paper_tasky.connect("Do!").execute("SELECT * FROM Todo")
+        assert tuple(d[0] for d in cursor.description) == ("author", "task")
 
     def test_tasky2_schema(self, paper_tasky):
-        assert paper_tasky.tasky2.columns("Task") == ("task", "prio", "author")
-        assert paper_tasky.tasky2.columns("Author") == ("id", "name")
+        tasky2 = paper_tasky.connect("TasKy2")
+        task = tasky2.execute("SELECT * FROM Task").description
+        assert tuple(d[0] for d in task) == ("task", "prio", "author")
+        author = tasky2.execute("SELECT * FROM Author").description
+        assert tuple(d[0] for d in author) == ("id", "name")
 
     def test_figure1_do_contents(self, paper_tasky):
-        rows = paper_tasky.do.select("Todo", order_by="task")
-        assert [(r["author"], r["task"]) for r in rows] == [
-            ("Ben", "Clean room"),
-            ("Ann", "Write paper"),
-        ]
+        rows = paper_tasky.connect("Do!").execute(
+            "SELECT author, task FROM Todo ORDER BY task"
+        ).fetchall()
+        assert rows == [("Ben", "Clean room"), ("Ann", "Write paper")]
 
     def test_figure1_tasky2_contents(self, paper_tasky):
-        authors = paper_tasky.tasky2.select("Author", order_by="name")
-        assert [a["name"] for a in authors] == ["Ann", "Ben"]
-        tasks = paper_tasky.tasky2.select("Task", order_by="task")
-        by_name = {a["id"]: a["name"] for a in authors}
-        assert [(t["task"], by_name[t["author"]]) for t in tasks] == [
+        tasky2 = paper_tasky.connect("TasKy2")
+        authors = tasky2.execute("SELECT id, name FROM Author ORDER BY name").fetchall()
+        assert [name for _id, name in authors] == ["Ann", "Ben"]
+        by_id = dict(authors)
+        tasks = tasky2.execute("SELECT task, author FROM Task ORDER BY task").fetchall()
+        assert [(task, by_id[author]) for task, author in tasks] == [
             ("Clean room", "Ben"),
             ("Learn for exam", "Ben"),
             ("Organize party", "Ann"),
@@ -66,76 +76,104 @@ class TestCoExistingWrites:
 
     def test_insert_via_tasky_everywhere(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.tasky.insert("Task", {"author": "Cara", "task": "New urgent", "prio": 1})
-        assert "New urgent" in tasks_in(scenario.tasky)
-        assert "New urgent" in tasks_in(scenario.do, "Todo")
-        assert "New urgent" in tasks_in(scenario.tasky2)
+        tasky = scenario.connect("TasKy")
+        tasky.execute(
+            "INSERT INTO Task(author, task, prio) VALUES ('Cara', 'New urgent', 1)"
+        )
+        assert "New urgent" in tasks_in(tasky)
+        assert "New urgent" in tasks_in(scenario.connect("Do!"), "Todo")
+        assert "New urgent" in tasks_in(scenario.connect("TasKy2"))
 
     def test_insert_via_do_defaults_prio(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.do.insert("Todo", {"author": "Ann", "task": "Via phone"})
-        row = scenario.tasky.select("Task", "task = 'Via phone'")[0]
-        assert row["prio"] == 1  # DROP COLUMN ... DEFAULT 1
+        scenario.connect("Do!").execute(
+            "INSERT INTO Todo(author, task) VALUES ('Ann', 'Via phone')"
+        )
+        row = scenario.connect("TasKy").execute(
+            "SELECT prio FROM Task WHERE task = 'Via phone'"
+        ).fetchone()
+        assert row == (1,)  # DROP COLUMN ... DEFAULT 1
 
     def test_insert_via_do_reuses_author(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.do.insert("Todo", {"author": "Ann", "task": "Via phone"})
-        assert scenario.tasky2.count("Author") == 2
+        scenario.connect("Do!").execute(
+            "INSERT INTO Todo(author, task) VALUES ('Ann', 'Via phone')"
+        )
+        authors = scenario.connect("TasKy2").execute("SELECT id FROM Author")
+        assert len(authors.fetchall()) == 2
 
     def test_insert_via_tasky2(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        ann = scenario.tasky2.select("Author", "name = 'Ann'")[0]
-        scenario.tasky2.insert(
-            "Task", {"task": "From v2", "prio": 1, "author": ann["id"]}
+        tasky2 = scenario.connect("TasKy2")
+        (ann,) = tasky2.execute("SELECT id FROM Author WHERE name = 'Ann'").fetchone()
+        tasky2.execute(
+            "INSERT INTO Task(task, prio, author) VALUES ('From v2', 1, ?)", (ann,)
         )
-        row = scenario.tasky.select("Task", "task = 'From v2'")[0]
-        assert row["author"] == "Ann"
-        assert "From v2" in tasks_in(scenario.do, "Todo")
+        row = scenario.connect("TasKy").execute(
+            "SELECT author FROM Task WHERE task = 'From v2'"
+        ).fetchone()
+        assert row == ("Ann",)
+        assert "From v2" in tasks_in(scenario.connect("Do!"), "Todo")
 
     def test_update_via_tasky2_prio_moves_into_do(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        changed = scenario.tasky2.update("Task", {"prio": 1}, "task = 'Learn for exam'")
+        changed = scenario.connect("TasKy2").execute(
+            "UPDATE Task SET prio = 1 WHERE task = 'Learn for exam'"
+        ).rowcount
         assert changed == 1
-        assert "Learn for exam" in tasks_in(scenario.do, "Todo")
+        assert "Learn for exam" in tasks_in(scenario.connect("Do!"), "Todo")
 
     def test_update_via_tasky_prio_leaves_do(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.tasky.update("Task", {"prio": 3}, "task = 'Clean room'")
-        assert "Clean room" not in tasks_in(scenario.do, "Todo")
+        scenario.connect("TasKy").execute(
+            "UPDATE Task SET prio = 3 WHERE task = 'Clean room'"
+        )
+        assert "Clean room" not in tasks_in(scenario.connect("Do!"), "Todo")
 
     def test_delete_via_do(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        assert scenario.do.delete("Todo", "task = 'Write paper'") == 1
-        assert "Write paper" not in tasks_in(scenario.tasky)
-        assert "Write paper" not in tasks_in(scenario.tasky2)
+        deleted = scenario.connect("Do!").execute(
+            "DELETE FROM Todo WHERE task = 'Write paper'"
+        ).rowcount
+        assert deleted == 1
+        assert "Write paper" not in tasks_in(scenario.connect("TasKy"))
+        assert "Write paper" not in tasks_in(scenario.connect("TasKy2"))
 
     def test_delete_all_tasks_of_author_removes_author(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.tasky.delete("Task", "author = 'Ben'")
-        names = [a["name"] for a in scenario.tasky2.select("Author")]
-        assert names == ["Ann"]
+        scenario.connect("TasKy").execute("DELETE FROM Task WHERE author = 'Ben'")
+        names = scenario.connect("TasKy2").execute("SELECT name FROM Author").fetchall()
+        assert names == [("Ann",)]
 
     def test_rename_column_view(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.tasky2.update("Author", {"name": "Annette"}, "name = 'Ann'")
-        assert "Annette" in {r["author"] for r in scenario.tasky.select("Task")}
+        scenario.connect("TasKy2").execute(
+            "UPDATE Author SET name = 'Annette' WHERE name = 'Ann'"
+        )
+        authors = scenario.connect("TasKy").execute("SELECT author FROM Task")
+        assert ("Annette",) in authors.fetchall()
+
+
+KEYED_READS = {
+    "TasKy": ("TasKy", "SELECT rowid, author, task, prio FROM Task ORDER BY rowid"),
+    "Do!": ("Do!", "SELECT rowid, author, task FROM Todo ORDER BY rowid"),
+    "TasKy2.Task": ("TasKy2", "SELECT rowid, task, prio, author FROM Task ORDER BY rowid"),
+    "TasKy2.Author": ("TasKy2", "SELECT rowid, id, name FROM Author ORDER BY rowid"),
+}
 
 
 class TestMigration:
     def test_all_versions_stable_across_all_materializations(self, paper_tasky):
         scenario = paper_tasky
         before = {
-            "TasKy": scenario.tasky.select_keyed("Task"),
-            "Do!": scenario.do.select_keyed("Todo"),
-            "TasKy2.Task": scenario.tasky2.select_keyed("Task"),
-            "TasKy2.Author": scenario.tasky2.select_keyed("Author"),
+            name: scenario.connect(version).execute(sql).fetchall()
+            for name, (version, sql) in KEYED_READS.items()
         }
         for target in ["TasKy2", "Do!", "TasKy", "TasKy2", "TasKy"]:
             scenario.materialize(target)
-            assert scenario.tasky.select_keyed("Task") == before["TasKy"], target
-            assert scenario.do.select_keyed("Todo") == before["Do!"], target
-            assert scenario.tasky2.select_keyed("Task") == before["TasKy2.Task"], target
-            assert scenario.tasky2.select_keyed("Author") == before["TasKy2.Author"], target
+            for name, (version, sql) in KEYED_READS.items():
+                rows = scenario.connect(version).execute(sql).fetchall()
+                assert rows == before[name], (target, name)
 
     def test_physical_tables_change(self, paper_tasky):
         scenario = paper_tasky
@@ -162,53 +200,72 @@ class TestMigration:
 class TestDropSchemaVersion:
     def test_dropped_version_unreachable(self, paper_tasky):
         paper_tasky.engine.execute("DROP SCHEMA VERSION Do!;")
-        with pytest.raises(CatalogError):
-            paper_tasky.engine.connect("Do!")
+        with pytest.raises(InterfaceError):
+            paper_tasky.connect("Do!")
 
     def test_data_survives_for_other_versions(self, paper_tasky):
         paper_tasky.engine.execute("DROP SCHEMA VERSION Do!;")
-        assert len(paper_tasky.tasky.select("Task")) == len(PAPER_ROWS)
-        assert paper_tasky.tasky2.count("Task") == len(PAPER_ROWS)
+        for version in ("TasKy", "TasKy2"):
+            rows = paper_tasky.connect(version).execute("SELECT task FROM Task")
+            assert len(rows.fetchall()) == len(PAPER_ROWS)
 
 
 class TestAccessApi:
     def test_select_projection_and_order(self, paper_tasky):
-        rows = paper_tasky.tasky.select("Task", columns=["task"], order_by="task")
-        assert rows[0] == {"task": "Clean room"}
+        cursor = paper_tasky.connect("TasKy").execute(
+            "SELECT task FROM Task ORDER BY task"
+        )
+        assert cursor.fetchone() == ("Clean room",)
 
     def test_select_with_string_predicate(self, paper_tasky):
-        assert paper_tasky.tasky.count("Task", "prio = 1") == 2
+        rows = paper_tasky.connect("TasKy").execute(
+            "SELECT task FROM Task WHERE prio = 1"
+        )
+        assert len(rows.fetchall()) == 2
 
     def test_select_with_callable_predicate(self, paper_tasky):
-        assert paper_tasky.tasky.count("Task", lambda r: r["prio"] > 1) == 2
+        rows = paper_tasky.connect("TasKy").execute(
+            "SELECT task FROM Task WHERE prio > ?", (1,)
+        )
+        assert len(rows.fetchall()) == 2
 
     def test_unknown_table(self, paper_tasky):
-        with pytest.raises(AccessError):
-            paper_tasky.tasky.select("Nope")
+        with pytest.raises(ProgrammingError):
+            paper_tasky.connect("TasKy").execute("SELECT * FROM Nope")
 
     def test_id_column_not_updatable(self, paper_tasky):
-        with pytest.raises(AccessError):
-            paper_tasky.tasky2.update("Author", {"id": 99})
+        with pytest.raises(OperationalError):
+            paper_tasky.connect("TasKy2").execute("UPDATE Author SET id = 99")
 
     def test_update_by_key_missing(self, paper_tasky):
-        with pytest.raises(AccessError):
-            paper_tasky.tasky.update_by_key("Task", 424242, {"prio": 1})
+        cursor = paper_tasky.connect("TasKy").execute(
+            "UPDATE Task SET prio = 1 WHERE rowid = 424242"
+        )
+        assert cursor.rowcount == 0
 
     def test_insert_returns_key(self, paper_tasky):
-        key = paper_tasky.tasky.insert("Task", {"author": "X", "task": "t", "prio": 5})
-        assert key in paper_tasky.tasky.select_keyed("Task")
+        tasky = paper_tasky.connect("TasKy")
+        key = tasky.execute(
+            "INSERT INTO Task(author, task, prio) VALUES ('X', 't', 5)"
+        ).lastrowid
+        assert (key,) in tasky.execute("SELECT rowid FROM Task").fetchall()
 
     def test_transaction_rollback(self, paper_tasky):
-        scenario = paper_tasky
-        before = scenario.tasky.select_keyed("Task")
+        conn = paper_tasky.connect("TasKy", autocommit=False)
+        read = KEYED_READS["TasKy"][1]
+        before = conn.execute(read).fetchall()
         with pytest.raises(RuntimeError):
-            with scenario.tasky.transaction():
-                scenario.tasky.insert("Task", {"author": "X", "task": "tmp", "prio": 1})
+            with conn:
+                conn.execute(
+                    "INSERT INTO Task(author, task, prio) VALUES ('X', 'tmp', 1)"
+                )
                 raise RuntimeError("abort")
-        assert scenario.tasky.select_keyed("Task") == before
+        assert conn.execute(read).fetchall() == before
 
     def test_transaction_commit(self, paper_tasky):
-        scenario = paper_tasky
-        with scenario.tasky.transaction():
-            scenario.tasky.insert("Task", {"author": "X", "task": "kept", "prio": 1})
-        assert scenario.tasky.count("Task", "task = 'kept'") == 1
+        with paper_tasky.connect("TasKy", autocommit=False) as conn:
+            conn.execute("INSERT INTO Task(author, task, prio) VALUES ('X', 'kept', 1)")
+        kept = paper_tasky.connect("TasKy").execute(
+            "SELECT task FROM Task WHERE task = 'kept'"
+        )
+        assert len(kept.fetchall()) == 1

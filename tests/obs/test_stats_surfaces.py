@@ -1,5 +1,7 @@
-"""Every stats surface serves the unified ``repro.obs/1`` snapshot, with
-the pre-existing keys preserved as stable aliases."""
+"""Every stats surface serves the unified ``repro.obs/1`` snapshot.  The
+keys the surfaces had before unification (``backend``, ``plan_cache``,
+``catalog``, the pool's sizing keys, the server's status keys) are part
+of that schema; none is an alias of another key."""
 
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ class TestConnectionStats:
         engine = build_engine()
         conn = repro.connect(engine, "v1", autocommit=True)
         stats = conn.stats()
-        # Legacy aliases (pre-unification shape).
+        # Keys every connection has reported since before unification.
         assert stats["backend"] == "memory"
         assert "hits" in stats["plan_cache"]
         assert stats["catalog"]["generation"] == engine.catalog_generation
@@ -93,7 +95,7 @@ class TestServerSurfaces:
         conn = connect_remote(host, port, "v1", autocommit=True)
         try:
             status = conn.server_status()
-            # Legacy server-status keys.
+            # Server-status keys that predate the unified snapshot.
             for key in ("protocol", "clients", "versions", "page_size",
                         "plan_cache", "catalog"):
                 assert key in status, key

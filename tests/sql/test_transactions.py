@@ -9,7 +9,7 @@ generated mapping logic.
 import pytest
 
 import repro
-from repro.errors import ProgrammingError, SchemaError
+from repro.errors import ProgrammingError
 from repro.workloads.tasky import build_tasky
 
 
@@ -197,19 +197,6 @@ class TestBatchAtomicity:
                 "UPDATE Task SET prio = ? WHERE prio >= ?", [(0, 1), (1,)]
             )
         assert conn.execute("SELECT prio FROM Task ORDER BY rowid").fetchall() == baseline
-
-    def test_insert_many_error_mid_batch_is_atomic(self, scenario):
-        # The legacy bulk-insert shim shares the same batched primitive:
-        # a schema violation halfway through must leave nothing behind.
-        legacy = scenario.engine.connect("TasKy")
-        before = counts(scenario.engine)
-        rows = [
-            {"author": "H1", "task": "h", "prio": 1},
-            {"author": "H2", "task": "h", "nope": 9},
-        ]
-        with pytest.raises(SchemaError):
-            legacy.insert_many("Task", rows)
-        assert counts(scenario.engine) == before
 
     def test_failed_statement_inside_transaction_keeps_prior_writes(self, scenario):
         conn = repro.connect(scenario.engine, "TasKy")

@@ -9,10 +9,12 @@ class TestHandwrittenBaseline:
         scenario = build_tasky(50)
         baseline = handwritten_tasky(50, materialization="initial")
         engine_tasks = sorted(
-            (r["author"], r["task"], r["prio"]) for r in scenario.tasky.select("Task")
+            scenario.connect("TasKy").execute("SELECT author, task, prio FROM Task")
         )
         assert sorted(baseline.read_tasky()) == engine_tasks
-        engine_do = sorted((r["author"], r["task"]) for r in scenario.do.select("Todo"))
+        engine_do = sorted(
+            scenario.connect("Do!").execute("SELECT author, task FROM Todo")
+        )
         assert sorted(baseline.read_do()) == engine_do
 
     def test_migration_preserves_reads(self):

@@ -1,5 +1,6 @@
 import pytest
 
+import repro
 from repro.errors import ReproError
 from repro.workloads.micro import (
     TWO_SMO_FIRST,
@@ -15,11 +16,13 @@ from repro.workloads.wikimedia import TABLE4_HISTOGRAM, build_wikimedia
 class TestTaskyScenario:
     def test_row_count(self):
         scenario = build_tasky(100)
-        assert scenario.tasky.count("Task") == 100
+        rows = scenario.connect("TasKy").execute("SELECT task FROM Task")
+        assert len(rows.fetchall()) == 100
 
     def test_deterministic_given_seed(self):
-        a = build_tasky(20, seed=7).tasky.select("Task", order_by="task")
-        b = build_tasky(20, seed=7).tasky.select("Task", order_by="task")
+        read = "SELECT * FROM Task ORDER BY task"
+        a = build_tasky(20, seed=7).connect("TasKy").execute(read).fetchall()
+        b = build_tasky(20, seed=7).connect("TasKy").execute(read).fetchall()
         assert a == b
 
     def test_without_branches(self):
@@ -47,17 +50,21 @@ class TestTwoSmoScenarios:
     @pytest.mark.parametrize("first", sorted(TWO_SMO_FIRST))
     def test_v2_always_contains_r_abc(self, first):
         engine = build_two_smo_scenario(first, "add_column", rows=30)
-        columns = engine.connect("v2").columns("R")
-        assert columns == ("a", "b", "c")
+        cursor = repro.connect(engine, "v2", autocommit=True).execute("SELECT * FROM R")
+        assert tuple(d[0] for d in cursor.description) == ("a", "b", "c")
 
     @pytest.mark.parametrize("second", sorted(TWO_SMO_SECOND))
     def test_v3_readable_under_all_materializations(self, second):
         engine = build_two_smo_scenario("split", second, rows=30)
         table = V3_READ_TABLE[second]
-        baseline = engine.connect("v3").select_keyed(table)
+        v3 = repro.connect(engine, "v3", autocommit=True)
+        keys = f"SELECT rowid FROM {table} ORDER BY rowid"
+        rows = f"SELECT * FROM {table} ORDER BY rowid"
+        baseline = (v3.execute(keys).fetchall(), v3.execute(rows).fetchall())
         for target in ("v2", "v3", "v1"):
             engine.execute(f"MATERIALIZE '{target}';")
-            assert engine.connect("v3").select_keyed(table) == baseline, target
+            current = (v3.execute(keys).fetchall(), v3.execute(rows).fetchall())
+            assert current == baseline, target
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ReproError):
@@ -78,18 +85,24 @@ class TestWikimediaScenario:
         assert len(scenario.version_names) == 171
 
     def test_core_tables_survive(self, scenario):
-        last = scenario.engine.connect(scenario.version_at(171))
-        assert scenario.engine.connect("v001").count("page") == last.count("page")
-        assert scenario.engine.connect("v001").count("links") == last.count("links")
+        first = repro.connect(scenario.engine, "v001", autocommit=True)
+        last = repro.connect(scenario.engine, scenario.version_at(171), autocommit=True)
+        for table in ("page", "links"):
+            read = f"SELECT * FROM {table}"
+            assert len(first.execute(read).fetchall()) == len(last.execute(read).fetchall())
 
     def test_write_at_late_version_visible_early(self, scenario):
-        late = scenario.engine.connect(scenario.version_at(100))
-        late_columns = late.columns("page")
-        row = {name: 1 for name in late_columns if name != "title"}
-        row["title"] = "RoundTrip"
-        late.insert("page", row)
-        early = scenario.engine.connect("v001")
-        assert early.count("page", "title = 'RoundTrip'") == 1
+        late = repro.connect(scenario.engine, scenario.version_at(100), autocommit=True)
+        columns = [d[0] for d in late.execute("SELECT * FROM page").description]
+        values = ["RoundTrip" if name == "title" else 1 for name in columns]
+        late.execute(
+            f"INSERT INTO page({', '.join(columns)}) "
+            f"VALUES ({', '.join('?' for _ in columns)})",
+            values,
+        )
+        early = repro.connect(scenario.engine, "v001", autocommit=True)
+        rows = early.execute("SELECT * FROM page WHERE title = 'RoundTrip'")
+        assert len(rows.fetchall()) == 1
 
     def test_deterministic(self):
         a = build_wikimedia(scale=0.001, versions=30, seed=5)
